@@ -13,7 +13,7 @@
 // f64 round-trips at 17 significant digits, so keep them verbatim.
 #![allow(clippy::excessive_precision)]
 
-use ba_core::{AttackConfig, BinarizedAttack, GradMaxSearch, StructuralAttack};
+use ba_core::{AttackConfig, BinarizedAttack, ContinuousA, GradMaxSearch, StructuralAttack};
 use ba_graph::{generators, EdgeOp, Graph, NodeId};
 use ba_oddball::OddBall;
 
@@ -169,4 +169,68 @@ fn binarized_fixed_seed_ops_and_losses_are_golden() {
             b + 1
         );
     }
+}
+
+#[test]
+fn continuous_fixed_seed_ops_and_losses_are_golden() {
+    let (g, targets) = anomalous_graph(2022);
+    let outcome = ContinuousA::new(AttackConfig::default())
+        .with_iterations(40)
+        .with_threads(2)
+        .attack(&g, &targets, 10)
+        .unwrap();
+    // ContinuousA has no carry-forward: budget b is the top-b prefix of
+    // one greedy walk over |Ã − A₀|.
+    let walk = ops(&[
+        (2, 3),
+        (2, 6),
+        (3, 6),
+        (4, 6),
+        (6, 9),
+        (6, 7),
+        (1, 6),
+        (2, 8),
+        (0, 2),
+        (2, 7),
+    ]);
+    for b in 1..=10 {
+        assert_eq!(
+            outcome.ops_per_budget[b - 1],
+            walk[..b],
+            "budget {b} diverged from golden"
+        );
+    }
+    let expected_losses: [f64; 10] = [
+        2.00746512683437095e3,
+        1.45035209910368985e3,
+        9.60097467409064052e2,
+        7.56924208061549507e2,
+        6.42996008084406185e2,
+        5.89695385974130659e2,
+        5.73927619383414822e2,
+        4.07330695377552615e2,
+        3.34392697178796311e2,
+        3.02143154775619621e2,
+    ];
+    for (b, (&got, &want)) in outcome
+        .surrogate_loss_per_budget
+        .iter()
+        .zip(&expected_losses)
+        .enumerate()
+    {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "budget {}: loss {got:e} != golden {want:e}",
+            b + 1
+        );
+    }
+    // The relaxed trajectory pins the dense forward pass too.
+    assert_eq!(outcome.loss_trajectory.len(), 40);
+    let last = outcome.loss_trajectory[39];
+    assert_eq!(
+        last.to_bits(),
+        6.60691046946790017e0_f64.to_bits(),
+        "final relaxed loss {last:e} != golden"
+    );
 }
