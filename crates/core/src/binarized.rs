@@ -24,7 +24,7 @@
 //! The `ablation` bench quantifies both choices.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::pair::{static_mask, Candidates};
+use crate::pair::{static_mask, straight_through_sign, Candidates};
 use crate::session::AttackSession;
 use ba_graph::{EdgeOp, GraphView};
 
@@ -61,8 +61,9 @@ impl BinarizedAttack {
     }
 
     /// Builder-style override of the λ grid.
+    /// An empty grid is accepted here and rejected by the attack itself
+    /// with [`AttackError::EmptyLambdaGrid`].
     pub fn with_lambdas(mut self, lambdas: Vec<f64>) -> Self {
-        assert!(!lambdas.is_empty(), "need at least one lambda");
         self.lambdas = lambdas;
         self
     }
@@ -82,20 +83,22 @@ impl BinarizedAttack {
     /// Runs the PGD loop for one λ, returning `Ż` snapshots (periodic +
     /// final — Alg. 1 extracts the best discrete solution over the whole
     /// sweep, and intermediate iterates often dominate for small budgets)
-    /// and the loss trajectory.
+    /// and the loss trajectory. `sign` is the straight-through factor
+    /// `1 − 2A₀` per candidate, fixed by the clean graph.
     fn optimise_one_lambda(
         &self,
         session: &mut AttackSession<'_>,
         candidates: &Candidates,
         mask: &[bool],
+        sign: &[f64],
         lambda: f64,
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>), AttackError> {
         session.reset();
-        let base = session.base();
         let mut zdot = vec![0.0f64; candidates.len()];
         let mut grads = vec![0.0f64; candidates.len()];
         // Current flip set (candidate indices with Ż > ½).
         let mut flipped = vec![false; candidates.len()];
+        let mut changed = Vec::new();
         let mut trajectory = Vec::with_capacity(self.iterations);
         let mut snapshots: Vec<Vec<f64>> = Vec::new();
         let snap_every = (self.iterations / 4).max(10);
@@ -109,46 +112,43 @@ impl BinarizedAttack {
             let ng = session.node_grads()?;
             trajectory.push(ng.loss);
             // Backward: sparse parallel assembly of G_ij per candidate,
-            // then the straight-through sign `1 − 2A₀_ij` and the
-            // normalised-step scale.
+            // then the straight-through sign and the normalised-step
+            // scale.
             session.pair_gradients_into(&ng, candidates, mask, &mut grads);
             let mut max_abs = 0.0f64;
-            candidates.for_each(|idx, i, j| {
-                if !mask[idx] {
-                    return; // grads[idx] is already 0.0
+            for ((g, &s), &m) in grads.iter_mut().zip(sign).zip(mask) {
+                if m {
+                    *g *= s;
+                    max_abs = max_abs.max(g.abs());
                 }
-                let s = if base.has_edge(i, j) { -1.0 } else { 1.0 }; // 1 − 2A₀
-                let gr = grads[idx] * s;
-                grads[idx] = gr;
-                max_abs = max_abs.max(gr.abs());
-            });
+            }
             if max_abs == 0.0 {
                 break; // zero gradient everywhere: nothing to optimise
             }
             let scale = self.learning_rate / max_abs;
             let shrink = self.learning_rate * lambda;
-            for idx in 0..zdot.len() {
-                if !mask[idx] {
+            // PGD step with the LASSO subgradient (Ż ≥ 0 always, so
+            // sign(Ż) = +1) and projection onto [0,1], collecting the
+            // candidates whose re-binarised decision changed. Masked-out
+            // candidates keep Ż = 0 and are never flipped.
+            changed.clear();
+            for (idx, &m) in mask.iter().enumerate() {
+                if !m {
                     continue;
                 }
-                // PGD step with the LASSO subgradient (Ż ≥ 0 always, so
-                // sign(Ż) = +1) and projection onto [0,1].
-                zdot[idx] = (zdot[idx] - scale * grads[idx] - shrink).clamp(0.0, 1.0);
-            }
-
-            // Re-binarise: toggle the graph wherever the flip set changed.
-            let mut changed = Vec::new();
-            candidates.for_each(|idx, i, j| {
-                let want = zdot[idx] > 0.5;
-                if want != flipped[idx] {
-                    changed.push((idx, i, j, want));
+                let z = (zdot[idx] - scale * grads[idx] - shrink).clamp(0.0, 1.0);
+                zdot[idx] = z;
+                if (z > 0.5) != flipped[idx] {
+                    changed.push(idx);
                 }
-            });
-            for (idx, i, j, want) in changed {
+            }
+            // Re-binarise: toggle the graph wherever the flip set changed.
+            for &idx in &changed {
+                let (i, j) = candidates.pair(idx);
                 session
                     .toggle(i, j)
                     .ok_or(AttackError::InvalidCandidatePair(i, j))?;
-                flipped[idx] = want;
+                flipped[idx] = !flipped[idx];
             }
         }
         snapshots.push(zdot);
@@ -162,28 +162,56 @@ impl Default for BinarizedAttack {
     }
 }
 
-/// Extracts the top-`b` flips from a soft decision vector, applying
-/// dynamic validity (op kind via the static mask, singleton protection
-/// against the *evolving* poisoned graph). Returns the ops and the
-/// resulting surrogate loss.
-pub(crate) fn extract_budget(
+/// Every budget's greedy solution for one soft decision vector, from a
+/// single walk (see [`extract_budgets`]).
+#[derive(Debug)]
+pub(crate) struct BudgetWalk {
+    /// The ops the walk accepted, in order (at most the budget).
+    ops: Vec<EdgeOp>,
+    /// `losses[b − 1]`: surrogate loss after the first `min(b, ops.len())`
+    /// ops.
+    losses: Vec<f64>,
+}
+
+impl BudgetWalk {
+    /// The solution for budget `b ≥ 1`: a prefix of the walk.
+    pub(crate) fn ops(&self, b: usize) -> &[EdgeOp] {
+        &self.ops[..b.min(self.ops.len())]
+    }
+
+    /// Surrogate loss of [`BudgetWalk::ops`] for budget `b ≥ 1`.
+    pub(crate) fn loss(&self, b: usize) -> f64 {
+        self.losses[b - 1]
+    }
+}
+
+/// Extracts the top-`b` flips from a soft decision vector for every
+/// `b ∈ 1..=budget`, applying dynamic validity (op kind via the static
+/// mask, singleton protection against the *evolving* poisoned graph).
+///
+/// Candidates are ranked once by soft score, descending (ties by index
+/// for determinism), and walked once. The walk for budget `b` is exactly
+/// the first `b` accepted ops of the walk for `b + 1` — same order, same
+/// singleton checks against the same graph state — so one walk records
+/// every budget's ops prefix and loss. When the ranking runs out before
+/// the budget, the remaining budgets keep the full walk and its loss.
+pub(crate) fn extract_budgets(
     session: &mut AttackSession<'_>,
     candidates: &Candidates,
     mask: &[bool],
     scores: &[f64],
-    b: usize,
+    budget: usize,
     forbid_singletons: bool,
-) -> Result<(Vec<EdgeOp>, f64), AttackError> {
-    // Rank candidates by soft score, descending; ties by index for
-    // determinism.
+) -> Result<BudgetWalk, AttackError> {
     let mut order: Vec<usize> = (0..scores.len())
         .filter(|&i| mask[i] && scores[i] > 0.0)
         .collect();
-    order.sort_by(|&a, &bidx| scores[bidx].total_cmp(&scores[a]).then(a.cmp(&bidx)));
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
     session.reset();
-    let mut ops = Vec::with_capacity(b);
+    let mut ops = Vec::with_capacity(budget);
+    let mut losses = Vec::with_capacity(budget);
     for idx in order {
-        if ops.len() >= b {
+        if ops.len() >= budget {
             break;
         }
         let (i, j) = candidates.pair(idx);
@@ -195,9 +223,16 @@ pub(crate) fn extract_budget(
             .toggle(i, j)
             .ok_or(AttackError::InvalidCandidatePair(i, j))?;
         ops.push(op);
+        losses.push(session.loss()?);
     }
-    let loss = session.loss()?;
-    Ok((ops, loss))
+    if losses.len() < budget {
+        let last = match losses.last() {
+            Some(&loss) => loss,
+            None => session.loss()?,
+        };
+        losses.resize(budget, last);
+    }
+    Ok(BudgetWalk { ops, losses })
 }
 
 impl StructuralAttack for BinarizedAttack {
@@ -242,6 +277,7 @@ impl StructuralAttack for BinarizedAttack {
             self.config.op_kind,
             self.config.forbid_singletons,
         );
+        let sign = straight_through_sign(&candidates, base);
 
         // Optimise per λ, collecting Ż snapshots across the whole sweep.
         // The session is reused across λs and extractions: resetting the
@@ -250,7 +286,7 @@ impl StructuralAttack for BinarizedAttack {
         let mut trajectory = Vec::new();
         for &lambda in &self.lambdas {
             let (snapshots, traj) =
-                self.optimise_one_lambda(session, &candidates, &mask, lambda)?;
+                self.optimise_one_lambda(session, &candidates, &mask, &sign, lambda)?;
             if traj.len() > trajectory.len() {
                 trajectory = traj; // keep the longest trace for ablations
             }
@@ -262,24 +298,30 @@ impl StructuralAttack for BinarizedAttack {
         // every λ are worse than the best smaller solution we keep the
         // smaller one — this makes the surrogate loss monotone in budget
         // (forcing weak extra flips can otherwise *hurt*).
-        let mut ops_per_budget: Vec<Vec<EdgeOp>> = Vec::with_capacity(budget);
-        let mut loss_per_budget: Vec<f64> = Vec::with_capacity(budget);
-        for b in 1..=budget {
-            let mut best: Option<(Vec<EdgeOp>, f64)> = None;
-            for zdot in &sweep {
-                let (ops, loss) = extract_budget(
+        let walks = sweep
+            .iter()
+            .map(|zdot| {
+                extract_budgets(
                     session,
                     &candidates,
                     &mask,
                     zdot,
-                    b,
+                    budget,
                     self.config.forbid_singletons,
-                )?;
-                if best.as_ref().is_none_or(|(_, bl)| loss < *bl) {
-                    best = Some((ops, loss));
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut ops_per_budget: Vec<Vec<EdgeOp>> = Vec::with_capacity(budget);
+        let mut loss_per_budget: Vec<f64> = Vec::with_capacity(budget);
+        for b in 1..=budget {
+            let mut best: Option<&BudgetWalk> = None;
+            for walk in &walks {
+                if best.is_none_or(|bw| walk.loss(b) < bw.loss(b)) {
+                    best = Some(walk);
                 }
             }
-            let (mut ops, mut loss) = best.ok_or(AttackError::EmptyLambdaGrid)?;
+            let best = best.ok_or(AttackError::EmptyLambdaGrid)?;
+            let (mut ops, mut loss) = (best.ops(b).to_vec(), best.loss(b));
             if let (Some(prev_loss), Some(prev_ops)) =
                 (loss_per_budget.last().copied(), ops_per_budget.last())
             {
@@ -306,8 +348,159 @@ impl StructuralAttack for BinarizedAttack {
 mod tests {
     use super::*;
     use crate::pair::{CandidateScope, EdgeOpKind};
-    use ba_graph::{generators, Graph, NodeId};
+    use ba_graph::{generators, CsrGraph, Graph, NodeId};
     use ba_oddball::OddBall;
+    use proptest::prelude::*;
+
+    /// The per-budget extraction [`extract_budgets`] replaced: re-ranks
+    /// and replays the walk from the clean graph for one budget `b`.
+    /// Kept as the reference the one-pass walk is pinned to.
+    fn extract_budget(
+        session: &mut AttackSession<'_>,
+        candidates: &Candidates,
+        mask: &[bool],
+        scores: &[f64],
+        b: usize,
+        forbid_singletons: bool,
+    ) -> Result<(Vec<EdgeOp>, f64), AttackError> {
+        let mut order: Vec<usize> = (0..scores.len())
+            .filter(|&i| mask[i] && scores[i] > 0.0)
+            .collect();
+        order.sort_by(|&a, &bidx| scores[bidx].total_cmp(&scores[a]).then(a.cmp(&bidx)));
+        session.reset();
+        let mut ops = Vec::with_capacity(b);
+        for idx in order {
+            if ops.len() >= b {
+                break;
+            }
+            let (i, j) = candidates.pair(idx);
+            let g = session.graph();
+            if g.has_edge(i, j) && forbid_singletons && !g.deletion_keeps_no_singletons(i, j) {
+                continue;
+            }
+            let op = session
+                .toggle(i, j)
+                .ok_or(AttackError::InvalidCandidatePair(i, j))?;
+            ops.push(op);
+        }
+        let loss = session.loss()?;
+        Ok((ops, loss))
+    }
+
+    /// Pins the one-pass walk to the per-budget reference, op for op and
+    /// loss bit for bit, at every budget; an error from any reference
+    /// budget must surface as an error from the walk.
+    fn assert_walk_matches_reference(
+        csr: &CsrGraph,
+        targets: &[NodeId],
+        kind: EdgeOpKind,
+        forbid_singletons: bool,
+        scores_of: impl Fn(usize, NodeId, NodeId) -> f64,
+        budget: usize,
+    ) {
+        let candidates = Candidates::build(CandidateScope::Full, csr, targets);
+        let mask = static_mask(&candidates, csr, kind, forbid_singletons);
+        let mut scores = vec![0.0; candidates.len()];
+        candidates.for_each(|idx, i, j| scores[idx] = scores_of(idx, i, j));
+        let mut session = AttackSession::new(csr, targets).unwrap();
+        let walk = extract_budgets(
+            &mut session,
+            &candidates,
+            &mask,
+            &scores,
+            budget,
+            forbid_singletons,
+        );
+        let reference: Result<Vec<_>, _> = (1..=budget)
+            .map(|b| {
+                extract_budget(
+                    &mut session,
+                    &candidates,
+                    &mask,
+                    &scores,
+                    b,
+                    forbid_singletons,
+                )
+            })
+            .collect();
+        match (walk, reference) {
+            (Ok(walk), Ok(reference)) => {
+                for (b, (ops, loss)) in (1..=budget).zip(reference) {
+                    assert_eq!(walk.ops(b), &ops[..], "budget {b}: ops");
+                    assert_eq!(walk.loss(b).to_bits(), loss.to_bits(), "budget {b}: loss");
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (walk, reference) => panic!("walk {walk:?} vs reference {reference:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn one_pass_extraction_matches_per_budget_reference(
+            n in 8usize..24,
+            seed in 0u64..1000,
+            kind in 0usize..3,
+            forbid in 0usize..2,
+            positive_pct in 2u64..60,
+            budget in 1usize..40,
+        ) {
+            let mut g = generators::erdos_renyi(n, 4.0 / n as f64, seed);
+            generators::attach_isolated(&mut g, seed + 1);
+            let csr = CsrGraph::from(&g);
+            let kind = [EdgeOpKind::Both, EdgeOpKind::AddOnly, EdgeOpKind::DeleteOnly][kind];
+            // Sparse positive scores with deliberate ties; the rest are
+            // zero or negative and never ranked, so large budgets run the
+            // ranking dry and exercise the padding path. Most clean edges
+            // rank by their endpoints' smaller degree, so walks delete
+            // every edge around a low-degree node in a row and hit the
+            // dynamic singleton check.
+            let scores_of = |idx: usize, i: NodeId, j: NodeId| {
+                let h = (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed;
+                let r = h % 100;
+                if csr.has_edge(i, j) && r < 70 {
+                    1.0 / csr.degree(i).min(csr.degree(j)) as f64
+                } else if r < positive_pct {
+                    ((h >> 8) % 5) as f64 * 0.1 + 0.1
+                } else if r.is_multiple_of(2) {
+                    0.0
+                } else {
+                    -1.0
+                }
+            };
+            assert_walk_matches_reference(&csr, &[0, 1], kind, forbid == 1, scores_of, budget);
+        }
+    }
+
+    #[test]
+    fn degenerate_loss_surfaces_as_error() {
+        // Path 0-1-2-3: closing it into a 4-cycle makes every degree 2,
+        // so the regression behind the loss is singular.
+        let csr = CsrGraph::from(&Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]));
+        let candidates = Candidates::build(CandidateScope::Full, &csr, &[0]);
+        let closing = candidates.index_of(0, 3).unwrap();
+        let mut scores = vec![0.0; candidates.len()];
+        scores[closing] = 1.0;
+        let mask = static_mask(&candidates, &csr, EdgeOpKind::Both, true);
+        let mut session = AttackSession::new(&csr, &[0]).unwrap();
+        let walk = extract_budgets(&mut session, &candidates, &mask, &scores, 3, true);
+        assert!(
+            matches!(walk, Err(AttackError::Loss(_))),
+            "expected a loss error, got {walk:?}"
+        );
+    }
+
+    #[test]
+    fn empty_lambda_grid_is_a_typed_error() {
+        let (g, targets) = anomalous_graph(49);
+        let err = BinarizedAttack::default()
+            .with_lambdas(vec![])
+            .attack(&g, &targets, 3)
+            .unwrap_err();
+        assert_eq!(err, AttackError::EmptyLambdaGrid);
+    }
 
     fn anomalous_graph(seed: u64) -> (Graph, Vec<NodeId>) {
         let mut g = generators::erdos_renyi(150, 0.04, seed);

@@ -13,8 +13,8 @@
 //! erratically — behaviour this implementation reproduces.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::binarized::extract_budget;
-use crate::dense::{dense_features, dense_pair_gradient};
+use crate::binarized::extract_budgets;
+use crate::dense::{features_with_a2, pair_gradient_with_a2};
 use crate::grad::{node_grads, resolve_threads};
 use crate::pair::{static_mask, Candidates};
 use crate::session::AttackSession;
@@ -109,10 +109,12 @@ impl StructuralAttack for ContinuousA {
         let mut trajectory = Vec::with_capacity(self.iterations);
 
         for _t in 0..self.iterations {
-            let (nfeat, efeat) = dense_features(&a, threads);
+            // One `A²` feeds both the forward and the backward pass.
+            let a2 = ba_linalg::par_matmul(&a, &a, threads);
+            let (nfeat, efeat) = features_with_a2(&a, &a2);
             let ng = node_grads(&nfeat, &efeat, &targets)?;
             trajectory.push(ng.loss);
-            let grad = dense_pair_gradient(&a, &ng, threads);
+            let grad = pair_gradient_with_a2(&a, &a2, &ng, threads);
 
             // Normalised PGD step over the candidate pairs only.
             let mut max_abs = 0.0f64;
@@ -143,20 +145,16 @@ impl StructuralAttack for ContinuousA {
             scores[idx] = (a[(i as usize, j as usize)] - orig).abs();
         });
 
-        let mut ops_per_budget = Vec::with_capacity(budget);
-        let mut loss_per_budget = Vec::with_capacity(budget);
-        for b in 1..=budget {
-            let (ops, loss) = extract_budget(
-                session,
-                &candidates,
-                &mask,
-                &scores,
-                b,
-                self.config.forbid_singletons,
-            )?;
-            ops_per_budget.push(ops);
-            loss_per_budget.push(loss);
-        }
+        let walk = extract_budgets(
+            session,
+            &candidates,
+            &mask,
+            &scores,
+            budget,
+            self.config.forbid_singletons,
+        )?;
+        let ops_per_budget = (1..=budget).map(|b| walk.ops(b).to_vec()).collect();
+        let loss_per_budget = (1..=budget).map(|b| walk.loss(b)).collect();
         Ok(AttackOutcome {
             name: self.name().to_string(),
             ops_per_budget,

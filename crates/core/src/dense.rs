@@ -18,11 +18,22 @@ use ba_linalg::Matrix;
 ///
 /// Uses two thread-parallel dense products: `A²` and `A·diag(gE)·A`.
 pub fn dense_pair_gradient(a: &Matrix, ng: &NodeGrads, threads: usize) -> Matrix {
+    let threads = resolve_threads(threads);
+    let a2 = ba_linalg::par_matmul(a, a, threads);
+    pair_gradient_with_a2(a, &a2, ng, threads)
+}
+
+/// [`dense_pair_gradient`] given a precomputed `A²`, so a caller that
+/// also needs [`dense_features`] at the same `A` pays for `A²` once.
+pub(crate) fn pair_gradient_with_a2(
+    a: &Matrix,
+    a2: &Matrix,
+    ng: &NodeGrads,
+    threads: usize,
+) -> Matrix {
     let n = a.rows();
     assert_eq!(n, a.cols(), "adjacency must be square");
     assert_eq!(n, ng.h.len(), "gradient size mismatch");
-    let threads = resolve_threads(threads);
-    let a2 = ba_linalg::par_matmul(a, a, threads);
     // AW: scale columns of A by gE (W = diag(gE)); then (AW)·A.
     let mut aw = a.clone();
     for i in 0..n {
@@ -47,8 +58,13 @@ pub fn dense_pair_gradient(a: &Matrix, ng: &NodeGrads, threads: usize) -> Matrix
 /// Computes fractional egonet features `N = A·1`, `E = N + ½ diag(A³)`
 /// from a dense symmetric adjacency. Returns `(n, e)`.
 pub fn dense_features(a: &Matrix, threads: usize) -> (Vec<f64>, Vec<f64>) {
-    let n = a.rows();
     let a2 = ba_linalg::par_matmul(a, a, resolve_threads(threads));
+    features_with_a2(a, &a2)
+}
+
+/// [`dense_features`] given a precomputed `A²`.
+pub(crate) fn features_with_a2(a: &Matrix, a2: &Matrix) -> (Vec<f64>, Vec<f64>) {
+    let n = a.rows();
     let mut deg = vec![0.0; n];
     let mut e = vec![0.0; n];
     for i in 0..n {
@@ -109,5 +125,33 @@ mod tests {
         let serial = dense_pair_gradient(&a, &ng, 1);
         let auto = dense_pair_gradient(&a, &ng, 0); // available_parallelism
         assert!((&serial - &auto).max_abs() == 0.0);
+    }
+
+    #[test]
+    fn shared_a2_path_is_bit_identical_to_public_passes() {
+        // A fractional adjacency, as ContinuousA's iterates are, large
+        // enough (n ≥ 64) that `par_matmul` actually splits the rows.
+        let g = generators::erdos_renyi(72, 0.15, 7);
+        let mut a = ba_linalg::Matrix::from_vec(72, 72, ba_graph::adjacency::to_row_major(&g));
+        for i in 0..72 {
+            for j in (i + 1)..72 {
+                let v = (a[(i, j)] * 0.7 + ((i * 31 + j * 17) % 10) as f64 * 0.03).min(1.0);
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+        }
+        let (n_pub, e_pub) = dense_features(&a, 2);
+        let ng = node_grads(&n_pub, &e_pub, &[3, 11]).unwrap();
+        let g_pub = dense_pair_gradient(&a, &ng, 2);
+
+        let a2 = ba_linalg::par_matmul(&a, &a, 2);
+        let (n_shared, e_shared) = features_with_a2(&a, &a2);
+        let g_shared = pair_gradient_with_a2(&a, &a2, &ng, 2);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&n_pub), bits(&n_shared));
+        assert_eq!(bits(&e_pub), bits(&e_shared));
+        for i in 0..72 {
+            assert_eq!(bits(g_pub.row(i)), bits(g_shared.row(i)), "row {i}");
+        }
     }
 }

@@ -302,6 +302,21 @@ pub fn static_mask<V: GraphView + ?Sized>(
     ok
 }
 
+/// The straight-through factor `1 − 2A₀_ij` per candidate (`−1` for a
+/// clean edge, `+1` for a non-edge): how a flip of the pair moves its
+/// adjacency entry. Like [`static_mask`] it depends only on the clean
+/// graph, so attacks compute it once per run.
+pub(crate) fn straight_through_sign<V: GraphView + ?Sized>(
+    candidates: &Candidates,
+    g0: &V,
+) -> Vec<f64> {
+    let mut sign = vec![0.0; candidates.len()];
+    candidates.for_each(|idx, i, j| {
+        sign[idx] = if g0.has_edge(i, j) { -1.0 } else { 1.0 };
+    });
+    sign
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

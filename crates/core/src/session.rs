@@ -8,7 +8,7 @@
 //! `BinarizedAttack`, `GradMaxSearch`, and the non-gradient baselines
 //! share one forward/score/flip implementation instead of each cloning
 //! the graph and re-deriving features. Resetting to the clean graph
-//! (done once per λ sweep and once per budget extraction) drops the
+//! (done once per λ sweep and once per extraction walk) drops the
 //! overlay's dirty rows and restores cached base features: `O(edits)`,
 //! not `O(n + m)`.
 //!
@@ -26,7 +26,7 @@
 //! * a bounded per-candidate [`TransTable`] of pair-gradient and loss
 //!   evaluations, the second chance for states whose full vector has
 //!   aged out of the LRU (λ restarts from the clean graph, long-period
-//!   revisits, budget-extraction replays).
+//!   revisits).
 //!
 //! The memo is *transparent*: every cached value was produced by the
 //! exact code path that would otherwise run, so cached and uncached
@@ -88,7 +88,7 @@ const TT_SAMPLE: usize = 128;
 
 /// Entry capacity of the dedicated state-level loss table. Loss keys
 /// are spread by hash, so this comfortably outlives the distinct states
-/// a budget-extraction sweep replays.
+/// the extraction walks of one run visit.
 const LOSS_TABLE_ENTRIES: usize = 1 << 12;
 
 /// Maximum whole-run outcome LRU depth. Outcomes are small (per-budget

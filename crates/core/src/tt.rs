@@ -3,9 +3,8 @@
 //! The greedy attacks re-evaluate heavily overlapping candidate sets:
 //! every PGD iteration whose re-binarised graph matches a state already
 //! visited (the long stretches where no Ż crosses ½, period-2 flip
-//! oscillations near a fixed point), every λ restart from the clean
-//! graph, and every budget-extraction replay re-derive the same
-//! `(graph state, candidate)` pair gradients. [`TransTable`] caches
+//! oscillations near a fixed point) and every λ restart from the clean
+//! graph re-derive the same `(graph state, candidate)` pair gradients. [`TransTable`] caches
 //! those scalars the way chess engines cache position evaluations:
 //!
 //! * **Key** — the caller folds the session's Zobrist state hash (edge
