@@ -537,9 +537,8 @@ mod tests {
         assert!(parse_request_line("frobnicate 1").is_err());
     }
 
-    #[test]
-    fn response_binary_roundtrip() {
-        let responses = vec![
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::error(ERR_UNKNOWN_EPOCH, "epoch 9 not retained"),
             Response::Score {
                 epoch: 4,
@@ -567,8 +566,12 @@ mod tests {
                 nodes: 100,
                 edges: 480,
             },
-        ];
-        for resp in responses {
+        ]
+    }
+
+    #[test]
+    fn response_binary_roundtrip() {
+        for resp in sample_responses() {
             let decoded = decode_response(&encode_response(&resp)).unwrap();
             // NaN != NaN under PartialEq; compare through the encoded
             // bytes, which carry exact bit patterns.
@@ -585,6 +588,33 @@ mod tests {
         assert_eq!(decode_request(&extra), Err(WireError::Trailing(1)));
         assert_eq!(decode_response(&[]), Err(WireError::Truncated));
         assert_eq!(decode_response(&[7]), Err(WireError::UnknownTag(7)));
+        // Every strict prefix of every sample is truncation, and one
+        // extra byte is exactly one trailing byte.
+        let requests = sample_requests()
+            .into_iter()
+            .map(|r| (encode_request(&r), true));
+        let responses = sample_responses()
+            .into_iter()
+            .map(|r| (encode_response(&r), false));
+        for (bytes, is_request) in requests.chain(responses) {
+            let decode = |b: &[u8]| {
+                if is_request {
+                    decode_request(b).map(drop)
+                } else {
+                    decode_response(b).map(drop)
+                }
+            };
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    decode(&bytes[..cut]),
+                    Err(WireError::Truncated),
+                    "{bytes:?}"
+                );
+            }
+            let mut extra = bytes.clone();
+            extra.push(0);
+            assert_eq!(decode(&extra), Err(WireError::Trailing(1)), "{bytes:?}");
+        }
     }
 
     #[test]
