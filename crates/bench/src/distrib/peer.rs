@@ -19,17 +19,19 @@
 //! reply — so the reply stream the claim loop reads stays perfectly
 //! aligned with the requests it writes.
 
-use crate::distrib::proto::{decode_tracker, encode_peer, PeerMsg, ProtoError, TrackerMsg};
+use crate::distrib::proto::{decode_tracker, encode_peer, PeerMsg, TrackerMsg};
 use crate::runner::{
     run_cell_guarded, CellEnv, Experiment, SessionCache, SubstratePool, SuiteLayout,
 };
 use crate::ExpOptions;
+use ba_net::conn::{buffered, connect_retry};
 use ba_net::frame::{read_frame, write_frame, FrameError};
+use ba_net::wire::WireDecodeError;
 use std::io::{self, BufReader, BufWriter};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Peer identity and connection settings.
 #[derive(Debug, Clone)]
@@ -75,7 +77,7 @@ pub enum PeerError {
     /// A frame was severed or rejected.
     Frame(FrameError),
     /// A frame decoded to garbage.
-    Proto(ProtoError),
+    Proto(WireDecodeError),
     /// The tracker refused the handshake (fingerprint mismatch).
     Rejected(String),
     /// The tracker broke the protocol (wrong reply, early close).
@@ -108,25 +110,9 @@ impl From<FrameError> for PeerError {
     }
 }
 
-impl From<ProtoError> for PeerError {
-    fn from(e: ProtoError) -> Self {
+impl From<WireDecodeError> for PeerError {
+    fn from(e: WireDecodeError) -> Self {
         PeerError::Proto(e)
-    }
-}
-
-/// Connects with retries: tracker and peers race at startup, so refused
-/// connections within the window are normal.
-fn connect(cfg: &PeerConfig) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + Duration::from_millis(cfg.connect_timeout_ms);
-    loop {
-        match TcpStream::connect(&cfg.addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(e),
-        }
     }
 }
 
@@ -156,10 +142,11 @@ pub fn run_peer(
     cfg: &PeerConfig,
 ) -> Result<PeerReport, PeerError> {
     let layout = SuiteLayout::build(exps, opts);
-    let stream = connect(cfg)?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let writer = Mutex::new(BufWriter::new(stream));
+    // Tracker and peers race at startup, so refused connections within
+    // the window are normal.
+    let stream = connect_retry(&cfg.addr, Duration::from_millis(cfg.connect_timeout_ms))?;
+    let (mut reader, writer) = buffered(stream)?;
+    let writer = Mutex::new(writer);
 
     send(
         &writer,

@@ -22,32 +22,6 @@
 use crate::distrib::lease::CompleteOutcome;
 use ba_net::wire::{WireDecodeError, WireReader, WireWriter};
 
-/// Protocol decode failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoError {
-    /// The payload violated the wire primitives.
-    Wire(WireDecodeError),
-    /// The leading tag byte named no known message.
-    UnknownTag(u8),
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Wire(e) => write!(f, "malformed message: {e}"),
-            ProtoError::UnknownTag(t) => write!(f, "unknown message tag {t}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl From<WireDecodeError> for ProtoError {
-    fn from(e: WireDecodeError) -> Self {
-        ProtoError::Wire(e)
-    }
-}
-
 /// Messages a peer sends to the tracker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerMsg {
@@ -129,7 +103,7 @@ pub fn encode_peer(msg: &PeerMsg) -> Vec<u8> {
 }
 
 /// Decodes a peer message, rejecting trailing bytes.
-pub fn decode_peer(payload: &[u8]) -> Result<PeerMsg, ProtoError> {
+pub fn decode_peer(payload: &[u8]) -> Result<PeerMsg, WireDecodeError> {
     let mut r = WireReader::new(payload);
     let msg = match r.u8()? {
         P_HELLO => PeerMsg::Hello {
@@ -151,7 +125,7 @@ pub fn decode_peer(payload: &[u8]) -> Result<PeerMsg, ProtoError> {
             cell: r.u64()?,
             epoch: r.u64()?,
         },
-        tag => return Err(ProtoError::UnknownTag(tag)),
+        tag => return Err(WireDecodeError::UnknownTag(tag)),
     };
     r.finish()?;
     Ok(msg)
@@ -239,7 +213,7 @@ pub fn encode_tracker(msg: &TrackerMsg) -> Vec<u8> {
 }
 
 /// Decodes a tracker message, rejecting trailing bytes.
-pub fn decode_tracker(payload: &[u8]) -> Result<TrackerMsg, ProtoError> {
+pub fn decode_tracker(payload: &[u8]) -> Result<TrackerMsg, WireDecodeError> {
     let mut r = WireReader::new(payload);
     let msg = match r.u8()? {
         T_WELCOME => TrackerMsg::Welcome {
@@ -258,10 +232,10 @@ pub fn decode_tracker(payload: &[u8]) -> Result<TrackerMsg, ProtoError> {
                 ACK_ACCEPTED => CompleteOutcome::Accepted,
                 ACK_DUPLICATE => CompleteOutcome::Duplicate,
                 ACK_STALE => CompleteOutcome::Stale,
-                tag => return Err(ProtoError::UnknownTag(tag)),
+                tag => return Err(WireDecodeError::UnknownTag(tag)),
             },
         },
-        tag => return Err(ProtoError::UnknownTag(tag)),
+        tag => return Err(WireDecodeError::UnknownTag(tag)),
     };
     r.finish()?;
     Ok(msg)
@@ -326,8 +300,8 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_truncation_are_rejected() {
-        assert_eq!(decode_peer(&[99]), Err(ProtoError::UnknownTag(99)));
-        assert_eq!(decode_tracker(&[99]), Err(ProtoError::UnknownTag(99)));
+        assert_eq!(decode_peer(&[99]), Err(WireDecodeError::UnknownTag(99)));
+        assert_eq!(decode_tracker(&[99]), Err(WireDecodeError::UnknownTag(99)));
         let bytes = encode_peer(&PeerMsg::Complete {
             cell: 1,
             epoch: 1,
@@ -342,9 +316,6 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode_peer(&PeerMsg::Claim);
         bytes.push(0);
-        assert_eq!(
-            decode_peer(&bytes),
-            Err(ProtoError::Wire(WireDecodeError::Trailing(1)))
-        );
+        assert_eq!(decode_peer(&bytes), Err(WireDecodeError::Trailing(1)));
     }
 }

@@ -1,9 +1,10 @@
 //! The tracker: the coordinator of a distributed suite run.
 //!
 //! A [`Tracker`] binds a TCP listener over a `SuitePlan` and hands
-//! out cell leases to connecting peers (one thread per connection,
-//! the same shape as `ba-serve`'s front door). All distribution state
-//! lives in the pure [`LeaseTable`]; the tracker adds only wiring:
+//! out cell leases to connecting peers, one thread per connection on
+//! `ba-net`'s accept loop (the loop `ba-serve`'s front door runs too).
+//! All distribution state lives in the pure [`LeaseTable`]; the tracker
+//! adds only wiring:
 //!
 //! * **Handshake gating** — a peer whose locally derived
 //!   [`crate::runner::SuiteLayout`] fingerprint differs is rejected before it can
@@ -28,12 +29,18 @@ use crate::distrib::lease::{ClaimOutcome, CompleteOutcome, LeaseTable};
 use crate::distrib::proto::{decode_peer, encode_tracker, PeerMsg, TrackerMsg};
 use crate::runner::{Experiment, SuitePlan};
 use crate::ExpOptions;
+use ba_net::conn::{accept_loop, buffered, StopSignal};
 use ba_net::frame::{read_frame, write_frame};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a stopped tracker waits for connected peers to hang up on
+/// their own before severing them: peers that just received `Done` (or
+/// are about to claim and receive it) disconnect cleanly within it.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 /// Tracker tuning knobs.
 #[derive(Debug, Clone)]
@@ -108,9 +115,8 @@ struct Shared<'a, 'b> {
     table: Mutex<LeaseTable>,
     cfg: &'a TrackerConfig,
     hook: Option<&'a FirstLeaseHook>,
-    local_addr: SocketAddr,
     t0: Instant,
-    stop: AtomicBool,
+    stop: StopSignal,
     aborted: AtomicBool,
     next_worker: AtomicU64,
     active_workers: AtomicU64,
@@ -128,14 +134,6 @@ impl Shared<'_, '_> {
     /// Milliseconds since serving began — the lease table's clock.
     fn now_ms(&self) -> u64 {
         self.t0.elapsed().as_millis() as u64
-    }
-
-    /// Signals shutdown and wakes the accept loop (which blocks in
-    /// `accept`) with a throwaway self-connection.
-    fn request_stop(&self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.local_addr);
-        }
     }
 }
 
@@ -208,9 +206,8 @@ impl Tracker {
             table: Mutex::new(table),
             cfg,
             hook: hook.as_ref(),
-            local_addr: self.local_addr,
             t0: Instant::now(),
-            stop: AtomicBool::new(false),
+            stop: StopSignal::new(self.local_addr),
             aborted: AtomicBool::new(false),
             next_worker: AtomicU64::new(1),
             active_workers: AtomicU64::new(0),
@@ -233,10 +230,10 @@ impl Tracker {
                 let tick = (cfg.lease_ms / 4).clamp(5, 250);
                 let mut idle_since = Instant::now();
                 loop {
-                    if shared.stop.load(Ordering::SeqCst) {
+                    if shared.stop.is_stopped() {
                         break;
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(tick));
+                    std::thread::sleep(Duration::from_millis(tick));
                     let now = shared.now_ms();
                     let (expired, done) = {
                         // ba-lint: allow(panic-path) -- a poisoned lock means another thread already panicked; propagating that panic is the correct escalation
@@ -250,7 +247,7 @@ impl Tracker {
                         .expirations
                         .fetch_add(expired.len() as u64, Ordering::Relaxed);
                     if done {
-                        shared.request_stop();
+                        shared.stop.stop();
                         break;
                     }
                     // Dead-fleet watchdog: pending cells but no worker.
@@ -264,47 +261,16 @@ impl Tracker {
                             cfg.idle_abort_ms
                         );
                         shared.aborted.store(true, Ordering::SeqCst);
-                        shared.request_stop();
+                        shared.stop.stop();
                         break;
                     }
                 }
             });
 
             // Accept loop, on the scope's own thread.
-            let mut conns: Vec<(std::thread::ScopedJoinHandle<'_, ()>, TcpStream)> = Vec::new();
-            for stream in self.listener.incoming() {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let Ok(socket) = stream.try_clone() else {
-                    continue;
-                };
-                let shared = &shared;
-                let handle = scope.spawn(move || {
-                    let socket = stream.try_clone().ok();
-                    serve_peer(stream, shared);
-                    // The accept loop holds another clone, so dropping
-                    // `stream` alone would not send the FIN.
-                    if let Some(socket) = socket {
-                        let _ = socket.shutdown(Shutdown::Both);
-                    }
-                });
-                conns.push((handle, socket));
-                conns.retain(|(h, _)| !h.is_finished());
-            }
-            // Grace period: peers that just received `Done` (or are
-            // about to claim and receive it) disconnect on their own;
-            // only then sever whatever is left (a hung peer's thread
-            // would otherwise block the scope join forever).
-            let grace = Instant::now();
-            while grace.elapsed().as_millis() < 2_000 && conns.iter().any(|(h, _)| !h.is_finished())
-            {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            for (_, socket) in &conns {
-                let _ = socket.shutdown(Shutdown::Both);
-            }
+            accept_loop(&self.listener, &shared.stop, SHUTDOWN_GRACE, |stream| {
+                serve_peer(stream, &shared)
+            });
         });
 
         if shared.aborted.load(Ordering::SeqCst) {
@@ -346,12 +312,9 @@ impl Tracker {
 /// worker's outstanding leases; errors are logged, not propagated — a
 /// dying peer is an expected event, and its cells simply re-lease.
 fn serve_peer(stream: TcpStream, shared: &Shared<'_, '_>) {
-    stream.set_nodelay(true).ok();
-    let Ok(clone) = stream.try_clone() else {
+    let Ok((mut reader, mut writer)) = buffered(stream) else {
         return;
     };
-    let mut reader = BufReader::new(clone);
-    let mut writer = BufWriter::new(stream);
 
     // Handshake: Hello carrying a matching fingerprint, or nothing.
     let (name, worker) = match read_frame(&mut reader) {
@@ -565,7 +528,7 @@ fn accept_rows(
         table.all_done()
     };
     if done {
-        shared.request_stop();
+        shared.stop.stop();
     }
 }
 

@@ -50,7 +50,7 @@ USAGE:
   binattack attack   --graph <file> --out <file> --budget B
                      [--targets a,b,c | --auto-targets K]
                      [--method <binarized|gradmax|continuous|random>]
-                     [--ops <both|add|delete>] [--seed N] [--no-memo]
+                     [--ops <both|add|delete>] [--seed N]
   binattack transfer --graph <file> --budget B --system <gal|refex> [--seed N]
   binattack gen-stream --graph <file> --out <file> --events N [--seed N]
   binattack stream   --graph <file> --events <file> [--batch N] [--shards S]
@@ -250,13 +250,9 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
 fn cmd_score(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let top = flags.usize_or("top", 20);
-    let regressor = match flags.get("regressor").unwrap_or("ols") {
-        "ols" => Regressor::Ols,
-        "huber" => Regressor::default_huber(),
-        "ransac" => Regressor::default_ransac(flags.u64_or("seed", 7)),
-        other => return Err(format!("unknown regressor {other:?}")),
-    };
-    let model = OddBall::new(regressor).fit(&g).map_err(|e| e.to_string())?;
+    let model = OddBall::new(parse_regressor(flags)?)
+        .fit(&g)
+        .map_err(|e| e.to_string())?;
     println!(
         "fit: beta0 = {:.4}, beta1 = {:.4}  (n = {}, m = {})",
         model.beta0(),
@@ -301,14 +297,12 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
         ..AttackConfig::default()
     };
     // One frozen CSR substrate serves the attack session and the
-    // before/after scoring below. Search memoization is on by default
-    // (it is result-transparent); `--no-memo` disables it to trade
-    // wall-clock for memory.
+    // before/after scoring below. Search memoization is always on: it
+    // is result-transparent.
     let csr = CsrGraph::from(&g);
-    let mut session = ba_core::AttackSession::new(&csr, &targets).map_err(|e| e.to_string())?;
-    if !flags.has("no-memo") {
-        session = session.with_memo();
-    }
+    let mut session = ba_core::AttackSession::new(&csr, &targets)
+        .map_err(|e| e.to_string())?
+        .with_memo();
     let method = flags.get("method").unwrap_or("binarized");
     let outcome: AttackOutcome = match method {
         "binarized" => BinarizedAttack::new(cfg).attack_with_session(&mut session, budget),

@@ -140,7 +140,7 @@ struct GradsSlot {
 
 /// Session-attached memoization state: the bounded [`TransTable`] plus
 /// the state-level LRU caches in front of it. Constructed via
-/// [`AttackSession::with_memo`] / [`AttackSession::with_memo_capacity`].
+/// [`AttackSession::with_memo`].
 ///
 /// All reuse is keyed by the full session state hash (edge set and
 /// target set), so one memo safely spans budget steps, λ sweeps, and
@@ -295,19 +295,9 @@ impl<'g> AttackSession<'g> {
     /// ([`SearchMemo::for_nodes`]). Memoized sessions return
     /// bit-identical results to unmemoized ones — the memo trades
     /// memory for wall-clock, nothing else.
-    pub fn with_memo(self) -> Self {
+    pub fn with_memo(mut self) -> Self {
         let n = self.overlay.base().num_nodes();
-        self.with_memo_capacity_from(SearchMemo::for_nodes(n))
-    }
-
-    /// Attaches a [`SearchMemo`] whose table holds at most `entries`
-    /// cached evaluations.
-    pub fn with_memo_capacity(self, entries: usize) -> Self {
-        self.with_memo_capacity_from(SearchMemo::new(entries))
-    }
-
-    fn with_memo_capacity_from(mut self, memo: SearchMemo) -> Self {
-        self.memo = Some(Box::new(memo));
+        self.memo = Some(Box::new(SearchMemo::for_nodes(n)));
         self
     }
 

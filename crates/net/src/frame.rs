@@ -16,6 +16,11 @@
 //!   or above [`MAX_FRAME_LEN`] ([`FrameError::Oversized`]; the cap
 //!   stops a corrupt or hostile header from making the reader allocate
 //!   unboundedly).
+//!
+//! The payload buffer grows as bytes arrive rather than being sized
+//! from the header, so a peer that sends a header and then stalls pins
+//! memory in proportion to what it sent (after a first reservation of
+//! at most 64 KiB), never the declared length.
 
 use std::io::{self, Read, Write};
 
@@ -23,6 +28,11 @@ use std::io::{self, Read, Write};
 /// legitimate batch; small enough that a garbage header cannot drive an
 /// allocation into the gigabytes.
 pub const MAX_FRAME_LEN: u64 = 16 << 20;
+
+/// Payload bytes reserved up front before any arrive (64 KiB): every
+/// frame up to this size is read with one allocation, and a larger one
+/// grows its buffer only as its bytes come in.
+const PAYLOAD_CHUNK: usize = 64 << 10;
 
 /// Errors raised while reading a frame.
 #[derive(Debug)]
@@ -98,13 +108,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     }
     // Lossless even on 16-bit targets: a length that does not fit in
     // `usize` is by definition oversized for this process.
-    let len = usize::try_from(len).map_err(|_| FrameError::Oversized { len })?;
-    let mut payload = vec![0u8; len];
-    let got = read_up_to(r, &mut payload)?;
-    if got < payload.len() {
+    let declared = usize::try_from(len).map_err(|_| FrameError::Oversized { len })?;
+    let mut payload = Vec::with_capacity(declared.min(PAYLOAD_CHUNK));
+    r.by_ref().take(len).read_to_end(&mut payload)?;
+    if payload.len() < declared {
         return Err(FrameError::Severed {
-            read: got,
-            expected: len,
+            read: payload.len(),
+            expected: declared,
         });
     }
     Ok(Some(payload))
@@ -165,6 +175,19 @@ mod tests {
                 read: 2,
                 expected: 7
             })
+        ));
+    }
+
+    #[test]
+    fn stalled_max_length_frame_is_severed_exactly() {
+        let mut bytes = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7; 10]);
+        assert!(matches!(
+            read_frame(&mut bytes.as_slice()),
+            Err(FrameError::Severed {
+                read: 10,
+                expected
+            }) if expected as u64 == MAX_FRAME_LEN
         ));
     }
 

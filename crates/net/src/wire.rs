@@ -1,12 +1,15 @@
 //! Primitive message codecs over a byte buffer.
 //!
-//! A [`WireWriter`] appends fixed-width little-endian integers and
-//! length-prefixed UTF-8 strings; a [`WireReader`] consumes them in the
-//! same order and rejects truncated values, invalid UTF-8, and —
-//! via [`WireReader::finish`] — trailing garbage. Every encoded value
-//! has exactly one byte representation, so protocol messages built on
-//! these round-trip byte-identically (the determinism contract the
-//! tracker and the scoring service both lean on).
+//! A [`WireWriter`] appends fixed-width little-endian integers, raw
+//! bytes and length-prefixed UTF-8 strings; a [`WireReader`] consumes
+//! them in the same order and rejects truncated values, invalid UTF-8,
+//! and — via [`WireReader::finish`] — trailing garbage. Protocols report
+//! a tag byte they do not know as [`WireDecodeError::UnknownTag`], so
+//! every decoder in the workspace fails with this one error type.
+//!
+//! Every encoded value has exactly one byte representation, so protocol
+//! messages built on these round-trip byte-identically (the determinism
+//! contract the tracker and the scoring service both lean on).
 
 /// Decoding failures. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,6 +20,8 @@ pub enum WireDecodeError {
     BadUtf8,
     /// [`WireReader::finish`] found unconsumed bytes.
     Trailing(usize),
+    /// A tag byte named no message (or enum value) the protocol knows.
+    UnknownTag(u8),
 }
 
 impl std::fmt::Display for WireDecodeError {
@@ -25,6 +30,7 @@ impl std::fmt::Display for WireDecodeError {
             WireDecodeError::Truncated => write!(f, "truncated message"),
             WireDecodeError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
             WireDecodeError::Trailing(n) => write!(f, "{n} trailing byte(s) after message"),
+            WireDecodeError::UnknownTag(t) => write!(f, "unknown tag {t}"),
         }
     }
 }
@@ -49,17 +55,31 @@ impl WireWriter {
         self
     }
 
+    /// Appends a little-endian `u16`.
+    pub fn put_u16(&mut self, v: u16) -> &mut Self {
+        self.put_bytes(&v.to_le_bytes())
+    }
+
+    /// Appends a little-endian `u32`.
+    pub fn put_u32(&mut self, v: u32) -> &mut Self {
+        self.put_bytes(&v.to_le_bytes())
+    }
+
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes())
+    }
+
+    /// Appends raw bytes, with no length prefix (the protocol writes
+    /// the count it needs itself; [`WireReader::bytes`] reads them back).
+    pub fn put_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(bytes);
         self
     }
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) -> &mut Self {
-        self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-        self
+        self.put_u64(s.len() as u64).put_bytes(s.as_bytes())
     }
 
     /// Appends a count-prefixed list of strings.
@@ -90,7 +110,9 @@ impl<'a> WireReader<'a> {
         Self { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireDecodeError> {
+    /// Reads exactly `n` raw bytes — the body of a field whose length
+    /// the protocol encoded itself.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireDecodeError> {
         let end = self
             .pos
             .checked_add(n)
@@ -101,24 +123,42 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireDecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireDecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireDecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireDecodeError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireDecodeError> {
-        let bytes = self.take(8)?;
-        // ba-lint: allow(panic-path) -- take(8) just returned exactly eight bytes, so the slice-to-array conversion cannot fail
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads `len` bytes of UTF-8 text (the caller read the length).
+    pub fn utf8(&mut self, len: usize) -> Result<String, WireDecodeError> {
+        String::from_utf8(self.bytes(len)?.to_vec()).map_err(|_| WireDecodeError::BadUtf8)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireDecodeError> {
         let len = self.u64()?;
         let len = usize::try_from(len).map_err(|_| WireDecodeError::Truncated)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireDecodeError::BadUtf8)
+        self.utf8(len)
     }
 
     /// Reads a count-prefixed list of strings.
@@ -155,12 +195,18 @@ mod tests {
     fn roundtrip_all_primitives() {
         let mut w = WireWriter::new();
         w.put_u8(7)
+            .put_u16(0xbeef)
+            .put_u32(u32::MAX - 1)
+            .put_bytes(b"raw")
             .put_u64(u64::MAX)
             .put_str("héllo")
             .put_str_list(&["a".into(), String::new(), "βç".into()]);
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xbeef);
+        assert_eq!(r.u32().unwrap(), u32::MAX - 1);
+        assert_eq!(r.bytes(3).unwrap(), b"raw");
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.str_list().unwrap(), vec!["a", "", "βç"]);

@@ -19,10 +19,12 @@
 //! and 8 clients.
 
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::protocol::{decode_response, encode_request, Request, Response, WireError};
+use crate::protocol::{decode_response, encode_request, Request, Response};
+use ba_net::conn::{buffered, connect_retry};
+use ba_net::wire::WireDecodeError;
 use std::io::{self, BufReader, BufWriter};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors raised on the client side.
 #[derive(Debug)]
@@ -32,7 +34,7 @@ pub enum ClientError {
     /// Framing failure (severed, oversized, …).
     Frame(FrameError),
     /// The response payload could not be decoded.
-    Wire(WireError),
+    Wire(WireDecodeError),
     /// The server closed the connection instead of responding.
     ServerClosed,
 }
@@ -62,8 +64,8 @@ impl From<FrameError> for ClientError {
     }
 }
 
-impl From<WireError> for ClientError {
-    fn from(e: WireError) -> Self {
+impl From<WireDecodeError> for ClientError {
+    fn from(e: WireDecodeError) -> Self {
         ClientError::Wire(e)
     }
 }
@@ -78,26 +80,15 @@ pub struct Connection {
 impl Connection {
     /// Connects once.
     pub fn connect(addr: &str) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-        })
+        Self::connect_retry(addr, Duration::ZERO)
     }
 
     /// Connects with retries until `timeout` elapses — the client's
     /// readiness handshake against a server that is still binding
     /// (the CI replay step starts the server as a background process).
     pub fn connect_retry(addr: &str, timeout: Duration) -> io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(conn) => return Ok(conn),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
-        }
+        let (reader, writer) = buffered(connect_retry(addr, timeout)?)?;
+        Ok(Self { reader, writer })
     }
 
     /// Sends one request and reads its response.

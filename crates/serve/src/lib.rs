@@ -57,7 +57,7 @@ pub use epoch::{EpochStore, ServeState};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, format_request,
-    parse_request_line, render_response, Request, Response, WireError, LATEST,
+    parse_request_line, render_response, Request, Response, LATEST,
 };
 pub use server::{ServeConfig, Server};
 pub use workload::{load_requests, save_requests, synthetic_requests, WorkloadConfig};

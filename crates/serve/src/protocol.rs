@@ -1,9 +1,9 @@
 //! The deterministic request/response protocol.
 //!
-//! Four request kinds travel over the framing layer, each encoded as a
-//! tag byte plus fixed little-endian fields — no maps, no padding, no
-//! floats-as-text — so encoding is a bijection and a replayed request
-//! log produces byte-identical frames:
+//! Four request kinds travel over the framing layer, each encoded with
+//! `ba-net`'s wire primitives as a tag byte plus fixed little-endian
+//! fields — no maps, no padding, no floats-as-text — so encoding is a
+//! bijection and a replayed request log produces byte-identical frames:
 //!
 //! | tag | request | payload |
 //! |---|---|---|
@@ -23,6 +23,7 @@
 //! step records and replays.
 
 use ba_graph::NodeId;
+use ba_net::wire::{WireDecodeError, WireReader, WireWriter};
 use ba_stream::snapshot::enc_f64;
 use ba_stream::StreamEvent;
 
@@ -126,154 +127,83 @@ impl Response {
     }
 }
 
-/// Errors raised while decoding a payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The payload ended before the declared fields did.
-    Truncated,
-    /// Bytes remained after the last field.
-    Trailing(usize),
-    /// The tag byte names no known message.
-    UnknownTag(u8),
-    /// An error message was not valid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "truncated payload"),
-            WireError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
-            WireError::UnknownTag(t) => write!(f, "unknown tag {t}"),
-            WireError::BadUtf8 => write!(f, "error message is not valid UTF-8"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Little-endian field reader over a payload slice.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        if self.0.len() < N {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(N);
-        self.0 = rest;
-        // ba-lint: allow(panic-path) -- split_at(N) after the length guard yields a head of exactly N bytes, so the array conversion cannot fail
-        Ok(head.try_into().expect("split_at guarantees length"))
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take::<1>()?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Trailing(self.0.len()))
-        }
-    }
-}
-
 /// Encodes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = WireWriter::new();
     match req {
         Request::PointScore { epoch, node } => {
-            out.push(1);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
+            w.put_u8(1).put_u64(*epoch).put_u32(*node);
         }
         Request::TopK { epoch, k } => {
-            out.push(2);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&k.to_le_bytes());
+            w.put_u8(2).put_u64(*epoch).put_u32(*k);
         }
         Request::IngestBatch { events } => {
-            out.push(3);
-            out.extend_from_slice(&(events.len() as u32).to_le_bytes());
+            w.put_u8(3).put_u32(events.len() as u32);
             for ev in events {
-                out.extend_from_slice(&ev.time.to_le_bytes());
-                out.extend_from_slice(&ev.u.to_le_bytes());
-                out.extend_from_slice(&ev.v.to_le_bytes());
-                out.push(u8::from(ev.insert));
+                w.put_u64(ev.time)
+                    .put_u32(ev.u)
+                    .put_u32(ev.v)
+                    .put_u8(u8::from(ev.insert));
             }
         }
-        Request::EpochInfo => out.push(4),
+        Request::EpochInfo => {
+            w.put_u8(4);
+        }
     }
-    out
+    w.finish()
 }
 
 /// Decodes a request payload.
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor(payload);
-    let req = match c.u8()? {
+pub fn decode_request(payload: &[u8]) -> Result<Request, WireDecodeError> {
+    let mut r = WireReader::new(payload);
+    let req = match r.u8()? {
         1 => Request::PointScore {
-            epoch: c.u64()?,
-            node: c.u32()?,
+            epoch: r.u64()?,
+            node: r.u32()?,
         },
         2 => Request::TopK {
-            epoch: c.u64()?,
-            k: c.u32()?,
+            epoch: r.u64()?,
+            k: r.u32()?,
         },
         3 => {
-            let count = c.u32()?;
+            let count = r.u32()?;
             let mut events = Vec::with_capacity((count as usize).min(1 << 16));
             for _ in 0..count {
-                let time = c.u64()?;
-                let u = c.u32()?;
-                let v = c.u32()?;
-                let insert = c.u8()? != 0;
+                let time = r.u64()?;
+                let u = r.u32()?;
+                let v = r.u32()?;
+                let insert = r.u8()? != 0;
                 events.push(StreamEvent::new(time, u, v, insert));
             }
             Request::IngestBatch { events }
         }
         4 => Request::EpochInfo,
-        other => return Err(WireError::UnknownTag(other)),
+        other => return Err(WireDecodeError::UnknownTag(other)),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(req)
 }
 
 /// Encodes a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = WireWriter::new();
     match resp {
         Response::Error { code, message } => {
-            out.push(0);
-            out.extend_from_slice(&code.to_le_bytes());
-            out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            out.extend_from_slice(message.as_bytes());
+            w.put_u8(0)
+                .put_u16(*code)
+                .put_u32(message.len() as u32)
+                .put_bytes(message.as_bytes());
         }
         Response::Score { epoch, node, score } => {
-            out.push(1);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
-            out.extend_from_slice(&score.to_bits().to_le_bytes());
+            w.put_u8(1)
+                .put_u64(*epoch)
+                .put_u32(*node)
+                .put_u64(score.to_bits());
         }
         Response::TopK { epoch, entries } => {
-            out.push(2);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            w.put_u8(2).put_u64(*epoch).put_u32(entries.len() as u32);
             for (node, score) in entries {
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&score.to_bits().to_le_bytes());
+                w.put_u32(*node).put_u64(score.to_bits());
             }
         }
         Response::Ingested {
@@ -282,10 +212,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             applied,
             edges,
         } => {
-            out.push(3);
-            for field in [epoch, events, applied, edges] {
-                out.extend_from_slice(&field.to_le_bytes());
-            }
+            w.put_u8(3)
+                .put_u64(*epoch)
+                .put_u64(*events)
+                .put_u64(*applied)
+                .put_u64(*edges);
         }
         Response::EpochInfo {
             epoch,
@@ -293,62 +224,58 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             nodes,
             edges,
         } => {
-            out.push(4);
-            for field in [epoch, oldest, nodes, edges] {
-                out.extend_from_slice(&field.to_le_bytes());
-            }
+            w.put_u8(4)
+                .put_u64(*epoch)
+                .put_u64(*oldest)
+                .put_u64(*nodes)
+                .put_u64(*edges);
         }
     }
-    out
+    w.finish()
 }
 
 /// Decodes a response payload.
-pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut c = Cursor(payload);
-    let resp = match c.u8()? {
+pub fn decode_response(payload: &[u8]) -> Result<Response, WireDecodeError> {
+    let mut r = WireReader::new(payload);
+    let resp = match r.u8()? {
         0 => {
-            let code = c.u16()?;
-            let len = c.u32()? as usize;
-            if c.0.len() < len {
-                return Err(WireError::Truncated);
-            }
-            let (text, rest) = c.0.split_at(len);
-            c.0 = rest;
+            let code = r.u16()?;
+            let len = r.u32()? as usize;
             Response::Error {
                 code,
-                message: String::from_utf8(text.to_vec()).map_err(|_| WireError::BadUtf8)?,
+                message: r.utf8(len)?,
             }
         }
         1 => Response::Score {
-            epoch: c.u64()?,
-            node: c.u32()?,
-            score: f64::from_bits(c.u64()?),
+            epoch: r.u64()?,
+            node: r.u32()?,
+            score: f64::from_bits(r.u64()?),
         },
         2 => {
-            let epoch = c.u64()?;
-            let count = c.u32()?;
+            let epoch = r.u64()?;
+            let count = r.u32()?;
             let mut entries = Vec::with_capacity((count as usize).min(1 << 16));
             for _ in 0..count {
-                let node = c.u32()?;
-                entries.push((node, f64::from_bits(c.u64()?)));
+                let node = r.u32()?;
+                entries.push((node, f64::from_bits(r.u64()?)));
             }
             Response::TopK { epoch, entries }
         }
         3 => Response::Ingested {
-            epoch: c.u64()?,
-            events: c.u64()?,
-            applied: c.u64()?,
-            edges: c.u64()?,
+            epoch: r.u64()?,
+            events: r.u64()?,
+            applied: r.u64()?,
+            edges: r.u64()?,
         },
         4 => Response::EpochInfo {
-            epoch: c.u64()?,
-            oldest: c.u64()?,
-            nodes: c.u64()?,
-            edges: c.u64()?,
+            epoch: r.u64()?,
+            oldest: r.u64()?,
+            nodes: r.u64()?,
+            edges: r.u64()?,
         },
-        other => return Err(WireError::UnknownTag(other)),
+        other => return Err(WireDecodeError::UnknownTag(other)),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(resp)
 }
 
@@ -581,13 +508,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_and_truncation_are_typed() {
-        assert_eq!(decode_request(&[99]), Err(WireError::UnknownTag(99)));
-        assert_eq!(decode_request(&[1, 0, 0]), Err(WireError::Truncated));
+        assert_eq!(decode_request(&[99]), Err(WireDecodeError::UnknownTag(99)));
+        assert_eq!(decode_request(&[1, 0, 0]), Err(WireDecodeError::Truncated));
         let mut extra = encode_request(&Request::EpochInfo);
         extra.push(0);
-        assert_eq!(decode_request(&extra), Err(WireError::Trailing(1)));
-        assert_eq!(decode_response(&[]), Err(WireError::Truncated));
-        assert_eq!(decode_response(&[7]), Err(WireError::UnknownTag(7)));
+        assert_eq!(decode_request(&extra), Err(WireDecodeError::Trailing(1)));
+        assert_eq!(decode_response(&[]), Err(WireDecodeError::Truncated));
+        assert_eq!(decode_response(&[7]), Err(WireDecodeError::UnknownTag(7)));
         // Every strict prefix of every sample is truncation, and one
         // extra byte is exactly one trailing byte.
         let requests = sample_requests()
@@ -607,13 +534,17 @@ mod tests {
             for cut in 0..bytes.len() {
                 assert_eq!(
                     decode(&bytes[..cut]),
-                    Err(WireError::Truncated),
+                    Err(WireDecodeError::Truncated),
                     "{bytes:?}"
                 );
             }
             let mut extra = bytes.clone();
             extra.push(0);
-            assert_eq!(decode(&extra), Err(WireError::Trailing(1)), "{bytes:?}");
+            assert_eq!(
+                decode(&extra),
+                Err(WireDecodeError::Trailing(1)),
+                "{bytes:?}"
+            );
         }
     }
 

@@ -1,9 +1,10 @@
 //! The TCP front door: one thread per connection over shared state.
 //!
 //! [`Server::start`] binds a listener, wraps the engine in a
-//! [`ServeState`], and spawns an accept loop; each accepted connection
-//! gets a thread running the read-frame → decode → handle → write-frame
-//! loop. Framing errors end a connection deterministically:
+//! [`ServeState`], and spawns `ba-net`'s accept loop on a thread of its
+//! own; each accepted connection gets a thread running the read-frame →
+//! decode → handle → write-frame loop. Framing errors end a connection
+//! deterministically:
 //!
 //! * clean close → the thread exits silently;
 //! * severed mid-frame → the partial message is dropped and the
@@ -17,15 +18,15 @@
 
 use crate::epoch::ServeState;
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::protocol::{
-    decode_request, encode_response, Response, WireError, ERR_MALFORMED, ERR_UNKNOWN_TAG,
-};
+use crate::protocol::{decode_request, encode_response, Response, ERR_MALFORMED, ERR_UNKNOWN_TAG};
+use ba_net::conn::{accept_loop, buffered, StopSignal};
+use ba_net::wire::WireDecodeError;
 use ba_stream::StreamEngine;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -48,8 +49,8 @@ impl Default for ServeConfig {
 pub struct Server {
     local_addr: SocketAddr,
     state: Arc<ServeState>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    stop: Arc<StopSignal>,
+    accept: JoinHandle<()>,
 }
 
 impl Server {
@@ -59,17 +60,26 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(ServeState::new(engine, cfg.retain));
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new(local_addr));
         let accept = {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, state, stop))
+            std::thread::spawn(move || {
+                // No grace: shutdown severs every client at once.
+                accept_loop(&listener, &stop, Duration::ZERO, |stream| {
+                    if let Err(e) = serve_connection(stream, &state) {
+                        // Severed connections are a client-side event,
+                        // not a server fault — note them and move on.
+                        eprintln!("[serve] connection dropped: {e}");
+                    }
+                })
+            })
         };
         Ok(Server {
             local_addr,
             state,
             stop,
-            accept: Some(accept),
+            accept,
         })
     }
 
@@ -85,61 +95,16 @@ impl Server {
 
     /// Blocks on the accept loop — foreground serving for the CLI; the
     /// loop only ends when the process is killed.
-    pub fn run(mut self) {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+    pub fn run(self) {
+        let _ = self.accept.join();
     }
 
     /// Stops accepting, wakes the accept loop, and joins it. Clients
     /// still connected are disconnected (their sockets are shut down),
     /// so shutdown terminates even mid-conversation.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The accept loop blocks in `accept`; a throwaway connection
-        // wakes it so it can observe the flag.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, state: Arc<ServeState>, stop: Arc<AtomicBool>) {
-    // Each connection keeps a clone of its socket here so shutdown can
-    // sever it; a thread blocked in `read_frame` would otherwise hang
-    // the final join for as long as an idle client stays connected.
-    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let Ok(socket) = stream.try_clone() else {
-            continue;
-        };
-        let state = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            // The accept loop holds another clone of this socket, so
-            // dropping `stream` on exit would NOT send the FIN — sever
-            // explicitly, or a client awaiting our close blocks until
-            // the whole server shuts down.
-            let socket = stream.try_clone().ok();
-            if let Err(e) = serve_connection(stream, &state) {
-                // Severed connections are a client-side event, not a
-                // server fault — note them and move on.
-                eprintln!("[serve] connection dropped: {e}");
-            }
-            if let Some(socket) = socket {
-                let _ = socket.shutdown(Shutdown::Both);
-            }
-        });
-        conns.push((handle, socket));
-        conns.retain(|(h, _)| !h.is_finished());
-    }
-    for (handle, socket) in conns {
-        let _ = socket.shutdown(Shutdown::Both);
-        let _ = handle.join();
+    pub fn shutdown(self) {
+        self.stop.stop();
+        self.run();
     }
 }
 
@@ -147,9 +112,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServeState>, stop: Arc<AtomicBo
 /// and protocol rejections that were answered; `Err` is a severed
 /// stream or IO failure with no one left to answer.
 fn serve_connection(stream: TcpStream, state: &ServeState) -> Result<(), FrameError> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let (mut reader, mut writer) = buffered(stream)?;
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(payload)) => payload,
@@ -165,7 +128,7 @@ fn serve_connection(stream: TcpStream, state: &ServeState) -> Result<(), FrameEr
         };
         let resp = match decode_request(&payload) {
             Ok(req) => state.handle(&req),
-            Err(WireError::UnknownTag(tag)) => {
+            Err(WireDecodeError::UnknownTag(tag)) => {
                 Response::error(ERR_UNKNOWN_TAG, format!("unknown request tag {tag}"))
             }
             Err(e) => Response::error(ERR_MALFORMED, format!("malformed request: {e}")),
